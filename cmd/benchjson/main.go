@@ -16,9 +16,9 @@
 //
 // Every fresh benchmark whose name matches NAME (substring) must have
 // ns/op within factor× of the same-named entry in LABEL's capture; a
-// violation exits 1. CI's bench-smoke job uses this to pin the region
-// engine's workers=1 path to the sequential baseline with a generous
-// noise allowance.
+// violation exits 1. CI's bench-smoke job uses this to pin the
+// RunNestPrivate/RunNestShared micro-benchmarks to the serial entries
+// stored under the parallel-sim label, with a generous noise allowance.
 package main
 
 import (

@@ -313,8 +313,8 @@ func (l *LLC) Access(node int, addr mem.Addr) (bank int, hit bool) {
 // AccessBank performs an LLC access from `node` that has already been
 // routed to its home bank, reporting the hit outcome. It touches only
 // bank-local state (the bank's tag store and its slice of the sharer
-// summary), which is what lets the region engine serve each bank from
-// the worker that owns it.
+// summary), which is what lets the region engine serve each bank's
+// accesses from the region that owns it.
 func (l *LLC) AccessBank(bank, node int, addr mem.Addr) bool {
 	hit := l.banks[bank].Access(addr)
 	if l.Org == SharedSNUCA {

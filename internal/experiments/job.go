@@ -145,23 +145,16 @@ func (j Job) Fingerprint() string {
 	return fp.Sum()
 }
 
-// runWith executes the job with the region engine's worker count
-// injected (0 leaves the job's own Cfg.Workers untouched). Workers is
-// deliberately not a fingerprinted field — any count produces
-// bit-identical results — so the injection happens here, after the memo
-// lookup, and the job must remain a pure function of the fingerprinted
-// fields alone.
-func (j Job) runWith(workers int) AppMetrics {
-	if workers > 0 {
-		j.Variant.Cfg.Workers = workers
-	}
+// run executes the job. It must remain a pure function of the
+// fingerprinted fields alone.
+func (j Job) run() AppMetrics {
 	switch j.Kind {
 	case KindBaseline:
 		return runBaselineJob(j.App, j.scale(), j.Variant)
 	case KindHW:
 		return runHWJob(j.App, j.scale(), j.Variant)
 	case KindKNL:
-		return AppMetrics{Name: j.App, DefCycles: knlExec(j.App, j.scale(), j.KNLMode, j.KNLOpt, workers)}
+		return AppMetrics{Name: j.App, DefCycles: knlExec(j.App, j.scale(), j.KNLMode, j.KNLOpt)}
 	default:
 		return RunApp(j.App, j.scale(), j.Variant)
 	}

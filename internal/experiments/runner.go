@@ -19,15 +19,6 @@ import (
 //
 // All methods are safe for concurrent use.
 type Runner struct {
-	// SimWorkers, when positive, sets sim.Config.Workers on every job
-	// this runner executes: the in-run parallelism of the region engine,
-	// as opposed to the across-job parallelism of the pool. It is
-	// injected at execution time — after fingerprinting — because worker
-	// counts never affect results (see the sim package's determinism
-	// contract) and so must never split the memo table. Set it before
-	// the first RunJob call; it is not synchronized.
-	SimWorkers int
-
 	sem chan struct{}
 
 	mu        sync.Mutex
@@ -82,7 +73,7 @@ func (r *Runner) RunJob(j Job) AppMetrics {
 	enqueued := time.Now()
 	r.sem <- struct{}{}
 	r.queueWaitNanos.Add(int64(time.Since(enqueued)))
-	c.m = j.runWith(r.SimWorkers)
+	c.m = j.run()
 	<-r.sem
 	close(c.ready)
 	return c.m

@@ -78,12 +78,11 @@ func TestFingerprintPins(t *testing.T) {
 		t.Errorf("experiments KNL-job pin drifted:\n got  %s\n want %s", got, wantKNL)
 	}
 
-	// Cfg.Workers is an execution knob, not a result parameter: jobs at
-	// any worker count are bit-identical, so the fingerprint must not
-	// see it — a drift here would split the Runner's memo table (and
-	// cluster routing) by machine size. The pin above predates the
-	// Workers field, so matching it already proves exclusion; this spells
-	// the property out directly.
+	// Cfg.Workers is deprecated and ignored by the simulator, so the
+	// fingerprint must not see it — a drift here would split the
+	// Runner's memo table (and cluster routing) on a field that changes
+	// nothing. The pin above predates the Workers field, so matching it
+	// already proves exclusion; this spells the property out directly.
 	parJob := appJob
 	parJob.Variant.Cfg.Workers = 8
 	if got := parJob.Fingerprint(); got != wantApp {

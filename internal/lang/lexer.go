@@ -28,7 +28,7 @@ package lang
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates token kinds.
@@ -95,7 +95,7 @@ func (l *lexer) next() (token, error) {
 scan:
 	c := l.src[l.pos]
 	switch {
-	case unicode.IsLetter(rune(c)) || c == '_':
+	case isIdentStart(c):
 		start := l.pos
 		for l.pos < len(l.src) && (isIdentRune(l.src[l.pos])) {
 			l.pos++
@@ -121,11 +121,20 @@ scan:
 		l.pos++
 		return token{kind: tokPunct, text: string(c), line: l.line}, nil
 	default:
-		return token{}, l.errorf("unexpected character %q", c)
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+		return token{}, l.errorf("unexpected character %q", r)
 	}
 }
 
+// isIdentStart reports whether c can begin an identifier. Identifiers
+// are ASCII-only; testing a single byte of a multi-byte UTF-8 sequence
+// with a Unicode predicate would accept Latin-1 letters that
+// isIdentRune then rejects, yielding an empty token that never
+// advances the lexer.
+func isIdentStart(c byte) bool {
+	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+}
+
 func isIdentRune(c byte) bool {
-	return c == '_' || c >= '0' && c <= '9' ||
-		c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+	return isIdentStart(c) || c >= '0' && c <= '9'
 }

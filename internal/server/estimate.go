@@ -281,11 +281,7 @@ func (s *Server) runVerify(vr *verifyRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	workers := s.cfg.SimWorkers
-	if s.cfg.VerifyWorkers < workers {
-		workers = s.cfg.VerifyWorkers
-	}
-	res, err := simulate(&SimulateRequest{CommonRequest: vr.Request.CommonRequest}, workers)
+	res, err := simulate(&SimulateRequest{CommonRequest: vr.Request.CommonRequest})
 	if err != nil {
 		return nil, err
 	}

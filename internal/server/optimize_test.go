@@ -188,8 +188,7 @@ func TestOptimizeEndToEnd(t *testing.T) {
 
 // TestOptimizeDeterministicAcrossWorkers: a fixed seed must yield the
 // identical search outcome and best placement at any worker count —
-// the search is sequential and the simulations are bit-identical at
-// any SimWorkers value.
+// the search is sequential and each simulation is deterministic.
 func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real verification simulations")
@@ -205,8 +204,8 @@ func TestOptimizeDeterministicAcrossWorkers(t *testing.T) {
 		jr, _ := pollOptimizeJob(t, ts.URL, ack.JobID, 2*time.Minute)
 		return decodeOptimizeResult(t, jr)
 	}
-	r1 := run(Config{Workers: 1, SimWorkers: 1, OptimizeWorkers: 1, RequestTimeout: 2 * time.Minute})
-	r2 := run(Config{Workers: 4, SimWorkers: 4, OptimizeWorkers: 2, RequestTimeout: 2 * time.Minute})
+	r1 := run(Config{Workers: 1, OptimizeWorkers: 1, RequestTimeout: 2 * time.Minute})
+	r2 := run(Config{Workers: 4, OptimizeWorkers: 2, RequestTimeout: 2 * time.Minute})
 
 	s1, _ := json.Marshal(r1.Search)
 	s2, _ := json.Marshal(r2.Search)

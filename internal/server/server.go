@@ -82,19 +82,6 @@ type Config struct {
 	// queue until a worker frees up or their timeout expires.
 	Workers int
 
-	// SimWorkers is the region engine's in-run worker count for each
-	// simulation (default GOMAXPROCS): /v1/simulate and batch
-	// executions spread one run's mesh regions over this many
-	// goroutines. Results are bit-identical at any value — the knob
-	// trades single-request latency against cross-request throughput,
-	// which is Workers' domain.
-	SimWorkers int
-
-	// VerifyWorkers caps SimWorkers for background verification jobs
-	// (default max(1, NumCPU/2)): verification is throughput work that
-	// should not crowd out latency-sensitive requests.
-	VerifyWorkers int
-
 	// CacheCapacity bounds the plan cache entry count (default 1024).
 	CacheCapacity int
 
@@ -249,15 +236,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SimWorkers <= 0 {
-		cfg.SimWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.VerifyWorkers <= 0 {
-		cfg.VerifyWorkers = runtime.NumCPU() / 2
-		if cfg.VerifyWorkers < 1 {
-			cfg.VerifyWorkers = 1
-		}
 	}
 	if cfg.CacheCapacity <= 0 {
 		cfg.CacheCapacity = 1024
@@ -788,7 +766,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serve(w, r, &req, "simulate", TierSim, func() ([]byte, error) {
-		res, err := simulate(&req, s.cfg.SimWorkers)
+		res, err := simulate(&req)
 		if err != nil {
 			return nil, err
 		}
@@ -884,15 +862,12 @@ func telemetryFrom(st sim.Stats, legs []sim.LegSummary) SimTelemetry {
 }
 
 // simulate compiles the request and verifies the schedule on the
-// simulator, mirroring cmd/locmap's -run path. workers is the region
-// engine's in-run goroutine count (Config.SimWorkers, or the
-// verification cap for background jobs); it never changes results.
-func simulate(req *SimulateRequest, workers int) (*SimResult, error) {
+// simulator, mirroring cmd/locmap's -run path.
+func simulate(req *SimulateRequest) (*SimResult, error) {
 	cfg, opts, err := req.options()
 	if err != nil {
 		return nil, err
 	}
-	cfg.Workers = workers
 	res, err := compiler.CompileSource(req.Source, opts)
 	if err != nil {
 		return nil, err
@@ -947,7 +922,6 @@ type StatsSnapshot struct {
 	Rejects       uint64          `json:"rejects"`
 	Timeouts      uint64          `json:"timeouts"`
 	Workers       int             `json:"workers"`
-	SimWorkers    int             `json:"sim_workers"`
 	Inflight      int64           `json:"inflight"`
 	Cache         plancache.Stats `json:"cache"`
 	LatencyCount  uint64          `json:"latency_count"`
@@ -973,7 +947,6 @@ func (s *Server) Snapshot() StatsSnapshot {
 		Rejects:       s.rejects.Load(),
 		Timeouts:      s.timeouts.Load(),
 		Workers:       s.cfg.Workers,
-		SimWorkers:    s.cfg.SimWorkers,
 		Inflight:      s.inflight.Load(),
 		Cache:         s.cache.Stats(),
 		LatencyCount:  s.lat.Count(),

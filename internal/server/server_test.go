@@ -211,6 +211,8 @@ func TestMapMalformedRequests(t *testing.T) {
 		{"bad accuracy", `{"source":"param N = 4","cme_accuracy":2}`, http.StatusBadRequest, ErrInvalidRequest},
 		{"bad intra", `{"source":"param N = 4","intra":"zigzag"}`, http.StatusBadRequest, ErrInvalidRequest},
 		{"unlexable source", `{"source":"parallel for i = 0..N { A[i] = B[i] ; }"}`, http.StatusBadRequest, ErrInvalidSource},
+		{"non-ASCII source", `{"source":"é"}`, http.StatusBadRequest, ErrInvalidSource},
+		{"non-ASCII identifier", `{"source":"param N = 4\narray Ä[N]"}`, http.StatusBadRequest, ErrInvalidSource},
 		{"unparsable source", `{"source":"for for for"}`, http.StatusUnprocessableEntity, ErrCompileFailed},
 	}
 	for _, tc := range tests {

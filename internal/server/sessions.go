@@ -486,11 +486,7 @@ func (s *Server) runRemap(jobID string, rr *remapRequest) ([]byte, error) {
 		return nil, err
 	}
 	progress("verify", nil)
-	workers := s.cfg.SimWorkers
-	if s.cfg.VerifyWorkers < workers {
-		workers = s.cfg.VerifyWorkers
-	}
-	res, err := simulate(&SimulateRequest{CommonRequest: mr.CommonRequest}, workers)
+	res, err := simulate(&SimulateRequest{CommonRequest: mr.CommonRequest})
 	if err != nil {
 		return nil, err
 	}

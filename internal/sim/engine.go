@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"sync"
 
 	"locmap/internal/cache"
 	"locmap/internal/loop"
@@ -14,11 +13,11 @@ import (
 // windowCycles is the region engine's synchronization window W: each
 // round, every region drains its local event heap up to the global
 // horizon T+W before reservations and boundary events are exchanged.
-// W trades synchronization overhead against contention freshness — all
-// event timestamps stay exact regardless of W (see the package
-// comment's determinism argument); only the staleness of *foreign*
-// link reservations is bounded by roughly one window. W is a fixed
-// model parameter, not a tuning knob: changing it changes the
+// W trades per-window fold and delivery overhead against contention
+// freshness — all event timestamps stay exact regardless of W (see the
+// package comment's determinism argument); only the staleness of
+// *foreign* link reservations is bounded by roughly one window. W is a
+// fixed model parameter, not a tuning knob: changing it changes the
 // simulated contention interleaving and therefore requires re-derived
 // goldens, exactly like a timing-parameter change. 64 cycles keeps
 // foreign-reservation staleness well under one network round trip, so
@@ -38,8 +37,7 @@ const windowCycles int64 = 64
 //
 // Ownership is chosen so every piece of mutable state (a core's L1 and
 // loop cursor, a bank's tags, an MC's DRAM timing) is touched only by
-// events of one region, which is what makes region-parallel execution
-// race-free without locks.
+// events of one region.
 const (
 	stIssue = iota
 	stToBank
@@ -75,8 +73,7 @@ func (a *event) before(b *event) bool {
 // shard is one region's share of the simulation: its own event heap and
 // sequence counter, its view of the link-reservation state, per-pair
 // outboxes for events it emits into other regions, and private
-// statistic accumulators. During a window a shard is touched by exactly
-// one worker.
+// statistic accumulators.
 type shard struct {
 	region int32
 	heap   []event
@@ -84,13 +81,9 @@ type shard struct {
 	view   *noc.ShardView
 
 	// out[d] buffers events this shard emitted for region d during the
-	// current window; they are delivered (and sequence-stamped) by d's
-	// owner at the window barrier, in source-region order.
+	// current window; they are delivered (and sequence-stamped) into d's
+	// heap at the window boundary, in source-region order.
 	out [][]event
-
-	// minT caches the heap-top time after delivery; the barrier's
-	// serial section reduces it to the next global window start.
-	minT int64
 
 	// legLat/legCnt accumulate per-leg latency locally; merged into the
 	// System once per run.
@@ -153,20 +146,17 @@ func (sh *shard) pop() event {
 }
 
 // engine drives nests to completion as a set of region shards advancing
-// in lock-stepped time windows. The engine is persistent per System —
-// shards, views and outboxes are allocated once — and re-armed with
-// per-run state by each RunNestOn call. The logical schedule (which
-// events run in which window, and in what order per shard) depends only
-// on the region structure, never on the worker count: workers merely
-// multiplex shards, so any workers value produces bit-identical tables.
+// in lock-stepped time windows on the calling goroutine. The engine is
+// persistent per System — shards, views and outboxes are allocated once
+// — and re-armed with per-run state by each RunNestOn call. The logical
+// schedule (which events run in which window, and in what order per
+// shard) depends only on the region structure.
 type engine struct {
 	sys *System
 
 	// Static partition tables.
-	numRegions int
-	regionOf   []int32 // node -> region
-	linkRegion []int32 // directed link -> owning region (its source node's)
-	mcRegion   []int32 // MC -> region of its node
+	regionOf []int32 // node -> region
+	mcRegion []int32 // MC -> region of its node
 
 	shards []*shard
 
@@ -180,11 +170,6 @@ type engine struct {
 	step        []loop.Stepper // per-core incremental address generator
 	outstanding []int          // per-core in-flight references
 	doneAt      []int64        // per-core max completion time of the iteration
-
-	// Parallel-run coordination: windowEnd and done are written only in
-	// the barrier's serial section.
-	windowEnd int64
-	done      bool
 }
 
 // newEngine builds the partition tables and one shard per region. A
@@ -199,9 +184,7 @@ func newEngine(s *System) *engine {
 	}
 	e := &engine{
 		sys:         s,
-		numRegions:  numRegions,
 		regionOf:    make([]int32, nodes),
-		linkRegion:  make([]int32, mesh.NumLinks()),
 		mcRegion:    make([]int32, mesh.NumMCs()),
 		shards:      make([]*shard, numRegions),
 		next:        make([]int, nodes),
@@ -214,10 +197,6 @@ func newEngine(s *System) *engine {
 		if numRegions > 1 {
 			e.regionOf[n] = int32(mesh.RegionOf(topology.NodeID(n)))
 		}
-	}
-	dirsPerNode := mesh.NumLinks() / nodes
-	for l := range e.linkRegion {
-		e.linkRegion[l] = e.regionOf[l/dirsPerNode]
 	}
 	for mc := range e.mcRegion {
 		e.mcRegion[mc] = e.regionOf[s.mcNode[mc]]
@@ -260,7 +239,7 @@ func (e *engine) arm(n *loop.Nest, sets []loop.IterSet, obs []SetObs, work [][]i
 
 // emit routes a freshly produced event to its owning region: into this
 // shard's heap when local, into the per-pair outbox when it crosses a
-// region boundary (delivered at the window barrier).
+// region boundary (delivered at the window boundary).
 func (e *engine) emit(sh *shard, region int32, ev event) {
 	if region == sh.region {
 		sh.push(ev)
@@ -295,7 +274,7 @@ func (e *engine) drain(sh *shard, end int64) {
 // deliver moves region d's inbound boundary events from every source
 // shard's outbox into d's heap, stamping arrival sequence numbers in
 // (source region, FIFO) order — the deterministic merge the package
-// comment documents. Only d's owner calls it, between barriers.
+// comment documents.
 func (e *engine) deliver(d int) {
 	dst := e.shards[d]
 	for _, src := range e.shards {
@@ -305,50 +284,42 @@ func (e *engine) deliver(d int) {
 		}
 		src.out[d] = box[:0]
 	}
-	if len(dst.heap) > 0 {
-		dst.minT = dst.heap[0].t
-	} else {
-		dst.minT = math.MaxInt64
-	}
 }
 
-// advanceWindow reduces the shards' post-delivery heap-top times to the
-// next window horizon. Runs in the barrier's serial section (or inline
-// when serial).
-func (e *engine) advanceWindow() {
+// nextWindowEnd returns the next window's horizon: the earliest pending
+// event in any region plus W. ok is false once every heap is empty.
+func (e *engine) nextWindowEnd() (end int64, ok bool) {
 	minT := int64(math.MaxInt64)
 	for _, sh := range e.shards {
-		if sh.minT < minT {
-			minT = sh.minT
+		if len(sh.heap) > 0 && sh.heap[0].t < minT {
+			minT = sh.heap[0].t
 		}
 	}
 	if minT == math.MaxInt64 {
-		e.done = true
-		return
+		return 0, false
 	}
-	e.windowEnd = minT + windowCycles
+	return minT + windowCycles, true
 }
 
-// run executes the armed nest. workers is the resolved goroutine count
-// (already clamped to the region count); any value produces the same
-// logical schedule.
-func (e *engine) run(workers int) {
-	e.done = false
-	for _, sh := range e.shards {
-		if len(sh.heap) > 0 {
-			sh.minT = sh.heap[0].t
-		} else {
-			sh.minT = math.MaxInt64
+// run executes the armed nest as a serial loop over time windows. Each
+// window drains every shard up to the shared horizon in region order,
+// folds every shard's link reservations into the network in region
+// order, and delivers each region's inbound boundary events. Shards
+// interact only through those folds and deliveries, so the schedule is
+// a pure function of the region structure.
+func (e *engine) run() {
+	for end, ok := e.nextWindowEnd(); ok; end, ok = e.nextWindowEnd() {
+		for _, sh := range e.shards {
+			sh.view.BeginWindow()
+			e.drain(sh, end)
+		}
+		for d, sh := range e.shards {
+			sh.view.Fold()
+			e.deliver(d)
 		}
 	}
-	e.advanceWindow()
-	if workers <= 1 {
-		e.runSerial()
-	} else {
-		e.runParallel(workers)
-	}
-	// Merge shard statistics. Serial and deterministic: every counter
-	// is a pure sum, so the merge order cannot affect results.
+	// Merge shard statistics. Every counter is a pure sum, so the merge
+	// order cannot affect results.
 	s := e.sys
 	for _, sh := range e.shards {
 		sh.view.FlushStats()
@@ -359,117 +330,6 @@ func (e *engine) run(workers int) {
 			sh.legCnt[i] = 0
 		}
 	}
-}
-
-// runSerial is the worker-free window loop: identical schedule to the
-// parallel path (shards still interact only through folds and outbox
-// delivery at window boundaries), minus goroutines and barriers.
-func (e *engine) runSerial() {
-	for !e.done {
-		end := e.windowEnd
-		for _, sh := range e.shards {
-			sh.view.BeginWindow()
-			e.drain(sh, end)
-		}
-		for _, sh := range e.shards {
-			sh.view.Fold(nil)
-		}
-		for d := range e.shards {
-			e.deliver(d)
-		}
-		e.advanceWindow()
-	}
-}
-
-// runParallel multiplexes the shards over `workers` goroutines with a
-// two-phase window barrier:
-//
-//	phase A  each worker drains its shards up to the shared horizon,
-//	         routing boundary events into outboxes;
-//	phase B  each worker folds every shard's link reservations for the
-//	         links its regions own, delivers its shards' inboxes, and
-//	         reports its heap-top times; the last arriver reduces them
-//	         to the next horizon.
-//
-// Shard ownership is static (region % workers), so the schedule —
-// and therefore every table — is independent of the worker count.
-func (e *engine) runParallel(workers int) {
-	b := newBarrier(workers)
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			e.worker(w, workers, b)
-		}(w)
-	}
-	e.worker(0, workers, b)
-	wg.Wait()
-}
-
-func (e *engine) worker(w, workers int, b *barrier) {
-	ownsLink := func(l topology.LinkID) bool {
-		return int(e.linkRegion[l])%workers == w
-	}
-	for !e.done {
-		end := e.windowEnd
-		for r := w; r < e.numRegions; r += workers {
-			sh := e.shards[r]
-			sh.view.BeginWindow()
-			e.drain(sh, end)
-		}
-		b.wait(nil)
-		// Fold every shard's dirty links that this worker's regions
-		// own: the link partition makes concurrent folds disjoint, and
-		// for any one link every fold runs here, in region order, so
-		// the merged result is independent of the worker count (see
-		// noc.ShardView.Fold).
-		for _, sh := range e.shards {
-			sh.view.Fold(ownsLink)
-		}
-		for r := w; r < e.numRegions; r += workers {
-			e.deliver(r)
-		}
-		b.wait(e.advanceWindow)
-	}
-}
-
-// barrier is a reusable generation-counted barrier; the last arriver
-// runs the serial closure before releasing the others. Waiters park on
-// a condition variable rather than spinning, so oversubscribed hosts
-// (workers > GOMAXPROCS) degrade gracefully.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	arrived int
-	gen     uint64
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) wait(serial func()) {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.n {
-		if serial != nil {
-			serial()
-		}
-		b.arrived = 0
-		b.gen++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
 }
 
 // resume records the completion of one in-flight reference at time t;

@@ -12,12 +12,11 @@ import (
 )
 
 // runWorkload executes every nest of a workload once on a fresh System
-// with the given worker count and returns everything observable about
-// the run: per-nest results plus final aggregate and per-leg statistics.
-func runWorkload(bench string, org cache.Organization, workers int) ([]NestResult, Stats, []LegSummary) {
+// and returns everything observable about the run: per-nest results
+// plus final aggregate and per-leg statistics.
+func runWorkload(bench string, org cache.Organization) ([]NestResult, Stats, []LegSummary) {
 	cfg := DefaultConfig()
 	cfg.LLCOrg = org
-	cfg.Workers = workers
 	s := New(cfg)
 	p := workloads.MustNew(bench, 1)
 	var results []NestResult
@@ -29,53 +28,21 @@ func runWorkload(bench string, org cache.Organization, workers int) ([]NestResul
 	return results, s.Stats(), s.LegSummaries()
 }
 
-// TestWorkersBitIdentical is the engine's determinism contract: any
-// worker count must reproduce the workers=1 run bit-for-bit — results,
-// cache/NoC/DRAM counters and per-leg latencies alike — because workers
-// only multiplex region shards, never reorder their schedule.
-func TestWorkersBitIdentical(t *testing.T) {
-	for _, org := range []cache.Organization{cache.Private, cache.SharedSNUCA} {
-		baseRes, baseStats, baseLegs := runWorkload("swim", org, 1)
-		for _, workers := range []int{2, 4, 8} {
-			res, stats, legs := runWorkload("swim", org, workers)
-			if !reflect.DeepEqual(res, baseRes) {
-				t.Errorf("%v workers=%d: nest results differ from workers=1\n got %+v\nwant %+v", org, workers, res, baseRes)
-			}
-			if stats != baseStats {
-				t.Errorf("%v workers=%d: stats differ from workers=1\n got %+v\nwant %+v", org, workers, stats, baseStats)
-			}
-			if !reflect.DeepEqual(legs, baseLegs) {
-				t.Errorf("%v workers=%d: leg summaries differ from workers=1", org, workers)
-			}
-		}
-	}
-}
-
-// TestWorkersClampedToRegions: worker counts beyond the region count
-// (or a mesh with no region grid at all) must degrade gracefully.
-func TestWorkersClampedToRegions(t *testing.T) {
-	baseRes, baseStats, _ := runWorkload("mxm", cache.SharedSNUCA, 1)
-	res, stats, _ := runWorkload("mxm", cache.SharedSNUCA, 64)
-	if !reflect.DeepEqual(res, baseRes) || stats != baseStats {
-		t.Error("workers=64 (beyond the 9 regions) should clamp and still match workers=1")
-	}
-}
-
-// TestParallelRunsAreIndependent runs the same nest concurrently from
-// several goroutines, each on its own System with a parallel engine.
-// Under -race this exercises the barrier/outbox/fold protocol for data
-// races between engines and within one; functionally it checks that
-// distinct Systems share nothing.
+// TestParallelRunsAreIndependent runs the same workload concurrently
+// from several goroutines, each on its own System, the way locmapd runs
+// simulations for concurrent requests. Under -race this checks that
+// distinct Systems share no mutable state; functionally it checks that
+// every concurrent run reproduces the lone run bit-for-bit.
 func TestParallelRunsAreIndependent(t *testing.T) {
-	baseRes, baseStats, _ := runWorkload("swim", cache.SharedSNUCA, 1)
+	baseRes, baseStats, baseLegs := runWorkload("swim", cache.SharedSNUCA)
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, stats, _ := runWorkload("swim", cache.SharedSNUCA, 4)
-			if !reflect.DeepEqual(res, baseRes) || stats != baseStats {
+			res, stats, legs := runWorkload("swim", cache.SharedSNUCA)
+			if !reflect.DeepEqual(res, baseRes) || stats != baseStats || !reflect.DeepEqual(legs, baseLegs) {
 				errs <- fmt.Errorf("goroutine %d: concurrent run diverged from serial run", g)
 			}
 		}(g)
